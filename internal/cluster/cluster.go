@@ -421,13 +421,13 @@ func (a *Agent) routes() {
 	a.mux.HandleFunc("POST /v1/sketches/{name}/ingest", a.handleIngest)
 	a.mux.HandleFunc("POST /v1/sketches/{name}/snapshot", a.handlePushFan)
 	a.mux.HandleFunc("GET /v1/sketches/{name}/snapshot", a.handlePullGather)
-	a.mux.HandleFunc("GET /v1/sketches/{name}/topk", a.handleTopK)
-	a.mux.HandleFunc("GET /v1/sketches/{name}/estimate", a.handleEstimate)
-	a.mux.HandleFunc("GET /v1/sketches/{name}/sum", a.handleSum)
-	a.mux.HandleFunc("POST /v1/sketches/{name}/query", a.handleQuery)
-	a.mux.HandleFunc("GET /v1/sketches/{name}/range/topk", a.handleRange)
-	a.mux.HandleFunc("GET /v1/sketches/{name}/range/sum", a.handleRange)
-	a.mux.HandleFunc("GET /v1/sketches/{name}/range/total", a.handleRange)
+	a.mux.HandleFunc("GET /v1/sketches/{name}/topk", a.handleRead(server.ReadTopK))
+	a.mux.HandleFunc("GET /v1/sketches/{name}/estimate", a.handleRead(server.ReadEstimate))
+	a.mux.HandleFunc("GET /v1/sketches/{name}/sum", a.handleRead(server.ReadSum))
+	a.mux.HandleFunc("POST /v1/sketches/{name}/query", a.handleRead(server.ReadQuery))
+	a.mux.HandleFunc("GET /v1/sketches/{name}/range/topk", a.handleRange(server.RangeTopK))
+	a.mux.HandleFunc("GET /v1/sketches/{name}/range/sum", a.handleRange(server.RangeSum))
+	a.mux.HandleFunc("GET /v1/sketches/{name}/range/total", a.handleRange(server.RangeTotal))
 
 	// Everything else — health, readiness, metrics, replication — is the
 	// wrapped server's business.

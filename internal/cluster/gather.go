@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	uss "repro"
 	"repro/internal/faultinject"
+	"repro/internal/hashx"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -57,16 +59,75 @@ func (g *gathered) merged() []uss.Bin {
 	return uss.MergeBinsParallel(m, uss.Pairwise, g.lists...)
 }
 
-// sketch materializes the merged partials as a weighted sketch sized to
-// hold them exactly, so cluster reads answer through the same TopK /
-// Estimate / SubsetSum / query code single-node reads use.
-func (g *gathered) sketch() (*uss.WeightedSketch, error) {
+// gatheredSource is a gathered read's source for the server's read
+// layer. The merged union, loaded as a weighted sketch sized to hold it
+// exactly, answers top-k, estimate and query; SubsetSum keeps the
+// union's value but takes its error from the owners' partials.
+type gatheredSource struct {
+	*uss.WeightedSketch
+	g *gathered
+}
+
+// source materializes the gathered partials as a read source.
+func (g *gathered) source() (gatheredSource, error) {
 	merged := g.merged()
-	m := len(merged)
-	if m < 1 {
-		m = 1
+	sk, err := uss.NewWeightedFromBins(max(len(merged), 1), merged)
+	return gatheredSource{sk, g}, err
+}
+
+// SubsetSum estimates over the exact union, with the rule
+// ShardedSketch.SubsetSum uses for its shards: the owners' partials —
+// and a sharded owner's shards within its partial — are independent, so
+// their errors add in quadrature. Each part contributes
+// N̂min·√max(hits, 1), where N̂min is 0 while the part is under its
+// capacity Bins (nothing was evicted) and its smallest count otherwise.
+// A sharded partial arrives as its shards collapsed into one list, so
+// it is split back by the sketch's own shard hash. The union sketch
+// alone is always full at its own size, so its error would charge
+// sampling error to exact answers.
+func (s gatheredSource) SubsetSum(pred func(string) bool) uss.Estimate {
+	est := s.WeightedSketch.SubsetSum(pred)
+	parts := 1
+	if s.g.cfg.Kind == server.KindSharded {
+		parts = s.g.cfg.Shards
 	}
-	return uss.NewWeightedFromBins(m, merged)
+	size := make([]int, parts)
+	hits := make([]int, parts)
+	nmin := make([]float64, parts)
+	var variance float64
+	for _, l := range s.g.lists {
+		for p := range parts {
+			size[p], hits[p], nmin[p] = 0, 0, math.Inf(1)
+		}
+		for _, b := range l {
+			p := 0
+			if parts > 1 { // ShardedSketch.shardIndex's routing
+				p = int(hashx.Sum32a(b.Item) % uint32(parts))
+			}
+			size[p]++
+			nmin[p] = min(nmin[p], b.Count)
+			if pred(b.Item) {
+				hits[p]++
+			}
+		}
+		for p := range parts {
+			if size[p] < s.g.cfg.Bins {
+				continue
+			}
+			se := nmin[p] * math.Sqrt(float64(max(hits[p], 1)))
+			variance += se * se
+		}
+	}
+	est.StdErr = math.Sqrt(variance)
+	return est
+}
+
+// partialCapacity is one owner partial's bin budget.
+func partialCapacity(cfg server.SketchConfig) int {
+	if cfg.Kind == server.KindSharded {
+		return cfg.Shards * cfg.Bins
+	}
+	return cfg.Bins
 }
 
 // gatherBins scatters a read for name to its owner set and gathers the

@@ -6,11 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	uss "repro"
@@ -23,41 +21,31 @@ import (
 // responses carry two extra fields — "degraded" and "peers" — when the
 // answer was assembled around a failure.
 
-// binDTO mirrors the single-node (item, count) response pair.
-type binDTO struct {
-	Item  string  `json:"item"`
-	Count float64 `json:"count"`
-}
-
-func toBinDTOs(bins []uss.Bin) []binDTO {
-	out := make([]binDTO, len(bins))
-	for i, b := range bins {
-		out[i] = binDTO{Item: b.Item, Count: b.Count}
-	}
-	return out
-}
-
-// estimateDTO mirrors the single-node estimate response.
-type estimateDTO struct {
-	Value      float64    `json:"value"`
-	StdErr     float64    `json:"std_err"`
-	SampleBins int        `json:"sample_bins"`
-	CI95       [2]float64 `json:"ci95"`
-}
-
-func toEstimateDTO(e uss.Estimate) estimateDTO {
-	lo, hi := e.ConfidenceInterval(0.95)
-	return estimateDTO{Value: e.Value, StdErr: e.StdErr, SampleBins: e.SampleBins, CI95: [2]float64{lo, hi}}
-}
-
-// degradedFields appends the cluster read-health fields to a response
-// map: degraded is always present, per-peer detail only when degraded.
-func (g *gathered) degradedFields(m map[string]any) map[string]any {
-	m["degraded"] = g.degraded
-	if g.degraded {
-		m["peers"] = g.reads
+// healthFields adds the cluster read-health fields to a response map:
+// degraded is always present, per-owner detail only when degraded.
+func healthFields(m map[string]any, degraded bool, reads []peerRead) map[string]any {
+	m["degraded"] = degraded
+	if degraded {
+		m["peers"] = reads
 	}
 	return m
+}
+
+// parseRead resolves {name} and parses the read with the node's parser,
+// writing the 404 or 400 on failure.
+func (a *Agent) parseRead(w http.ResponseWriter, r *http.Request, op server.ReadOp) (string, *server.ReadRequest, bool) {
+	name := r.PathValue("name")
+	cfg, ok := a.srv.SketchConfigOf(name)
+	if !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("sketch %q: %w", name, server.ErrNotFound))
+		return "", nil, false
+	}
+	q, err := server.ParseRead(cfg, op, r, a.cfg.MaxBodyBytes)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return "", nil, false
+	}
+	return name, q, true
 }
 
 // traceOf extracts the request's span context for attachment to queued
@@ -405,17 +393,7 @@ func (a *Agent) handlePullGather(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	merged := g.merged()
-	m := g.cfg.Bins
-	if g.cfg.Kind == server.KindSharded {
-		m = g.cfg.Shards * g.cfg.Bins
-	}
-	if m < len(merged) {
-		m = len(merged)
-	}
-	if m < 1 {
-		m = 1
-	}
-	blob, err := uss.EncodeBins(m, merged)
+	blob, err := uss.EncodeBins(max(partialCapacity(g.cfg), len(merged)), merged)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -426,114 +404,32 @@ func (a *Agent) handlePullGather(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(blob)
 }
 
-// gatherSketch runs the scatter-gather and materializes the merged
-// sketch, writing the error response on failure.
-func (a *Agent) gatherSketch(w http.ResponseWriter, r *http.Request, name string) (*uss.WeightedSketch, *gathered, bool) {
-	cfg, ok := a.srv.SketchConfigOf(name)
-	if ok && cfg.Kind == server.KindRollup {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sketch %q is a rollup; use /range endpoints", name))
-		return nil, nil, false
-	}
-	g, code, err := a.gatherBins(r.Context(), name)
-	if err != nil {
-		writeError(w, code, err)
-		return nil, nil, false
-	}
-	sk, err := g.sketch()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return nil, nil, false
-	}
-	return sk, g, true
-}
-
-func (a *Agent) handleTopK(w http.ResponseWriter, r *http.Request) {
-	k := 10
-	if v := r.URL.Query().Get("k"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad k=%q", v))
+// handleRead answers one flat read cluster-wide through the server's
+// read layer: parse with the node's parser, gather the owner partials,
+// answer over the gathered source, then add the read-health fields.
+func (a *Agent) handleRead(op server.ReadOp) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name, q, ok := a.parseRead(w, r, op)
+		if !ok {
 			return
 		}
-		k = n
-	}
-	sk, g, ok := a.gatherSketch(w, r, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, g.degradedFields(map[string]any{"items": toBinDTOs(sk.TopK(k))}))
-}
-
-func (a *Agent) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	item := r.URL.Query().Get("item")
-	if item == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing item parameter"))
-		return
-	}
-	sk, g, ok := a.gatherSketch(w, r, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	writeJSON(w, http.StatusOK, g.degradedFields(map[string]any{"item": item, "estimate": sk.Estimate(item)}))
-}
-
-func (a *Agent) handleSum(w http.ResponseWriter, r *http.Request) {
-	pred, err := server.SumPredicate(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	sk, g, ok := a.gatherSketch(w, r, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	est := toEstimateDTO(sk.SubsetSum(pred))
-	writeJSON(w, http.StatusOK, g.degradedFields(map[string]any{
-		"value": est.Value, "std_err": est.StdErr, "sample_bins": est.SampleBins, "ci95": est.CI95,
-	}))
-}
-
-// queryRequest mirrors the single-node POST /query body.
-type queryRequest struct {
-	Where []struct {
-		Dim string   `json:"dim"`
-		In  []string `json:"in"`
-	} `json:"where"`
-	GroupBy []string `json:"group_by"`
-}
-
-func (a *Agent) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, ok := a.readBody(w, r)
-	if !ok {
-		return
-	}
-	var req queryRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode query: %w", err))
-		return
-	}
-	sk, g, ok := a.gatherSketch(w, r, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	spec := uss.QuerySpec{GroupBy: req.GroupBy}
-	for _, f := range req.Where {
-		spec.Where = append(spec.Where, uss.QueryFilter{Dim: f.Dim, In: f.In})
-	}
-	groups, skipped, err := sk.QueryEngine().Prepare(spec).Run()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	out := make([]map[string]any, len(groups))
-	for i, grp := range groups {
-		out[i] = map[string]any{
-			"key": grp.Key, "key_string": grp.KeyString(),
-			"value": grp.Sum.Value, "std_err": grp.Sum.StdErr, "sample_bins": grp.Sum.SampleBins,
+		g, code, err := a.gatherBins(r.Context(), name)
+		if err != nil {
+			writeError(w, code, err)
+			return
 		}
+		src, err := g.source()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		body, err := q.Answer(src)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, healthFields(body, g.degraded, g.reads))
 	}
-	writeJSON(w, http.StatusOK, g.degradedFields(map[string]any{"groups": out, "skipped": skipped}))
 }
 
 // handleInfo aggregates a sketch's stats across its owner set by
@@ -654,172 +550,93 @@ func contains(list []string, s string) bool {
 	return false
 }
 
-// handleRange forwards a rollup range query to every owner and merges
-// the JSON answers: top-k lists merge bin-wise and re-rank, sums add
-// values with root-sum-square errors, totals add. A missed owner marks
-// the response degraded; below read quorum the read fails 503.
-func (a *Agent) handleRange(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	cfg, ok := a.srv.SketchConfigOf(name)
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("sketch %q: %w", name, server.ErrNotFound))
-		return
-	}
-	if cfg.Kind != server.KindRollup {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sketch %q is %s; /range endpoints need a rollup", name, cfg.Kind))
-		return
-	}
-	op := r.URL.Path[strings.LastIndex(r.URL.Path, "/")+1:]
-	owners := a.owners(name)
-	type rangeRes struct {
-		owner  string
-		status int
-		body   []byte
-		err    error
-	}
-	results := make([]rangeRes, len(owners))
-	var wg sync.WaitGroup
-	for i, o := range owners {
-		wg.Add(1)
-		go func(i int, o string) {
-			defer wg.Done()
-			u := o + "/v1/cluster/sketches/" + name + "/range/" + op
-			if r.URL.RawQuery != "" {
-				u += "?" + r.URL.RawQuery
-			}
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
-			if err != nil {
-				results[i] = rangeRes{owner: o, err: err}
-				return
-			}
-			resp, err := a.doPeer(o, req)
-			if err != nil {
-				results[i] = rangeRes{owner: o, err: err}
-				return
-			}
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, a.cfg.MaxBodyBytes))
-			resp.Body.Close()
-			results[i] = rangeRes{owner: o, status: resp.StatusCode, body: body}
-		}(i, o)
-	}
-	wg.Wait()
+// handleRange answers one rollup range read cluster-wide: parse with
+// the node's parser (a caller error is 400 here, never fanned out),
+// forward to every owner, and combine the answers through the read
+// layer. An owner that fails, answers non-200, or no longer hosts the
+// sketch is a miss and marks the response degraded; below read quorum
+// the read fails 503. Only a range sum's "no retained window" 404 is an
+// answer — an empty partial.
+func (a *Agent) handleRange(op server.ReadOp) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		name, q, ok := a.parseRead(w, r, op)
+		if !ok {
+			return
+		}
+		owners := a.owners(name)
+		type rangeRes struct {
+			status int
+			body   []byte
+			err    error
+		}
+		results := make([]rangeRes, len(owners))
+		var wg sync.WaitGroup
+		for i, o := range owners {
+			wg.Add(1)
+			go func(i int, o string) {
+				defer wg.Done()
+				u := o + "/v1/cluster/sketches/" + name + "/" + string(op) + "?" + r.URL.RawQuery
+				req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, u, nil)
+				if err != nil {
+					results[i].err = err
+					return
+				}
+				resp, err := a.doPeer(o, req)
+				if err != nil {
+					results[i].err = err
+					return
+				}
+				body, _ := io.ReadAll(io.LimitReader(resp.Body, a.cfg.MaxBodyBytes))
+				resp.Body.Close()
+				results[i] = rangeRes{status: resp.StatusCode, body: body}
+			}(i, o)
+		}
+		wg.Wait()
 
-	reads := make([]peerRead, len(owners))
-	answered, missed, notFound := 0, 0, 0
-	var bodies [][]byte
-	for i, res := range results {
-		pr := peerRead{Owner: res.owner, Source: "owner"}
-		if res.owner == a.cfg.Self {
-			pr.Source = "local"
-		}
-		switch {
-		case res.err != nil:
-			pr.Source, pr.Error = "miss", res.err.Error()
-			missed++
-		case res.status == http.StatusNotFound:
-			// No retained window on this owner: a valid empty answer.
-			answered++
-			notFound++
-		case res.status != http.StatusOK:
-			pr.Source, pr.Error = "miss", fmt.Sprintf("status %d: %s", res.status, truncate(res.body, 120))
-			missed++
-		default:
-			answered++
-			bodies = append(bodies, res.body)
-		}
-		reads[i] = pr
-	}
-	if answered < a.cfg.ReadQuorum {
-		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("read quorum not met for %q range/%s: %d of %d answered (need %d)",
-				name, op, answered, len(owners), a.cfg.ReadQuorum))
-		return
-	}
-	degraded := missed > 0
-	if degraded {
-		a.met.degraded.Add(1)
-	}
-	if len(bodies) == 0 && notFound > 0 {
-		// Every answering owner said 404: mirror the single-node answer.
-		writeError(w, http.StatusNotFound, fmt.Errorf("no retained window intersects the range"))
-		return
-	}
-	out, err := mergeRange(op, r, bodies)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	out["degraded"] = degraded
-	if degraded {
-		out["peers"] = reads
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// mergeRange folds per-owner range answers into the cluster answer.
-func mergeRange(op string, r *http.Request, bodies [][]byte) (map[string]any, error) {
-	switch op {
-	case "topk":
-		k := 10
-		if v := r.URL.Query().Get("k"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil {
-				k = n
+		reads := make([]peerRead, len(owners))
+		answered, missed, noWindow := 0, 0, 0
+		var bodies [][]byte
+		for i, res := range results {
+			pr := peerRead{Owner: owners[i], Source: "owner"}
+			if owners[i] == a.cfg.Self {
+				pr.Source = "local"
 			}
-		}
-		var lists [][]uss.Bin
-		m := 0
-		for _, b := range bodies {
-			var resp struct {
-				Items []binDTO `json:"items"`
+			switch {
+			case res.err != nil:
+				pr.Source, pr.Error = "miss", res.err.Error()
+				missed++
+			case q.IsNoWindow(res.status, res.body):
+				answered++
+				noWindow++
+			case res.status != http.StatusOK:
+				pr.Source, pr.Error = "miss", fmt.Sprintf("status %d: %s", res.status, truncate(res.body, 120))
+				missed++
+			default:
+				answered++
+				bodies = append(bodies, res.body)
 			}
-			if err := json.Unmarshal(b, &resp); err != nil {
-				return nil, err
-			}
-			bins := make([]uss.Bin, len(resp.Items))
-			for i, it := range resp.Items {
-				bins[i] = uss.Bin{Item: it.Item, Count: it.Count}
-			}
-			lists = append(lists, bins)
-			m += len(bins)
+			reads[i] = pr
 		}
-		if m < 1 {
-			return map[string]any{"items": []binDTO{}}, nil
+		if answered < a.cfg.ReadQuorum {
+			writeError(w, http.StatusServiceUnavailable,
+				fmt.Errorf("read quorum not met for %q %s: %d of %d answered (need %d)",
+					name, op, answered, len(owners), a.cfg.ReadQuorum))
+			return
 		}
-		merged := uss.MergeBins(m, uss.Pairwise, lists...)
-		sk, err := uss.NewWeightedFromBins(max(len(merged), 1), merged)
+		degraded := missed > 0
+		if degraded {
+			a.met.degraded.Add(1)
+		}
+		if len(bodies) == 0 && noWindow > 0 {
+			// Every answering owner had no window: the single-node answer.
+			writeError(w, http.StatusNotFound, q.NoWindow())
+			return
+		}
+		out, err := q.Combine(bodies)
 		if err != nil {
-			return nil, err
+			writeError(w, http.StatusInternalServerError, err)
+			return
 		}
-		return map[string]any{"items": toBinDTOs(sk.TopK(k))}, nil
-	case "sum":
-		var value, varSum float64
-		sampleBins := 0
-		for _, b := range bodies {
-			var resp estimateDTO
-			if err := json.Unmarshal(b, &resp); err != nil {
-				return nil, err
-			}
-			value += resp.Value
-			varSum += resp.StdErr * resp.StdErr
-			sampleBins += resp.SampleBins
-		}
-		est := toEstimateDTO(uss.Estimate{Value: value, StdErr: math.Sqrt(varSum), SampleBins: sampleBins})
-		return map[string]any{
-			"value": est.Value, "std_err": est.StdErr, "sample_bins": est.SampleBins, "ci95": est.CI95,
-		}, nil
-	case "total":
-		var total float64
-		for _, b := range bodies {
-			var resp struct {
-				Total float64 `json:"total"`
-			}
-			if err := json.Unmarshal(b, &resp); err != nil {
-				return nil, err
-			}
-			total += resp.Total
-		}
-		return map[string]any{"total": total}, nil
+		writeJSON(w, http.StatusOK, healthFields(out, degraded, reads))
 	}
-	return nil, fmt.Errorf("unknown range op %q", op)
 }

@@ -188,21 +188,14 @@ func (s *Server) ensureLive(e *entry) error {
 // sizeTotalLocked reads the sketch's size and total mass. Caller holds
 // e.mu on a live entry.
 func (e *entry) sizeTotalLocked() (int, float64) {
-	switch e.cfg.Kind {
-	case KindUnit:
-		return e.unit.Size(), e.unit.Total()
-	case KindWeighted:
-		return e.weighted.Size(), e.weighted.Total()
-	case KindSharded:
-		return e.sharded.Size(), e.sharded.Total()
-	case KindRollup:
-		ws := e.rollup.Windows()
-		if len(ws) == 0 {
-			return 0, 0
-		}
-		return 0, e.rollup.TotalRange(ws[0], ws[len(ws)-1])
+	if f := e.flat(); f != nil {
+		return f.Size(), f.Total()
 	}
-	return 0, 0
+	ws := e.rollup.Windows()
+	if len(ws) == 0 {
+		return 0, 0
+	}
+	return 0, e.rollup.TotalRange(ws[0], ws[len(ws)-1])
 }
 
 // demote encodes the entry's exact state to its cold blob and frees the

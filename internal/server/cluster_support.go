@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"strings"
 	"time"
 
@@ -200,13 +199,6 @@ func (s *Server) SketchConfigOf(name string) (SketchConfig, bool) {
 // reports whether the sketch existed.
 func (s *Server) DeleteSketch(name string) (bool, error) {
 	return s.deleteSketch(name)
-}
-
-// SumPredicate exposes the sum endpoints' prefix/suffix/items predicate
-// parser, so cluster scatter-gather sums evaluate exactly the
-// single-node semantics.
-func SumPredicate(r *http.Request) (func(string) bool, error) {
-	return sumPredicate(r)
 }
 
 // IngestRows is a decoded ingest body in columnar form: one item per

@@ -1,86 +1,22 @@
 package server
 
 import (
-	"bytes"
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/apitest"
 )
 
 // TestErrorMappingTable pins the HTTP error contract on every endpoint:
 // an unknown sketch name is 404 everywhere, a duplicate create is 409,
 // and a validation failure is 400 — never the 409 create once answered
-// for bad configs.
+// for bad configs. The table lives in internal/apitest so the cluster
+// agent's reads are held to the same cases.
 func TestErrorMappingTable(t *testing.T) {
 	_, ts := testServer(t)
-	create(t, ts, SketchConfig{Name: "w", Kind: KindWeighted, Bins: 8})
-	create(t, ts, SketchConfig{Name: "u", Kind: KindUnit, Bins: 8})
-	create(t, ts, SketchConfig{Name: "ru", Kind: KindRollup, Bins: 8, WindowLength: 60})
-
-	cases := []struct {
-		name   string
-		method string
-		path   string
-		body   string
-		ctype  string
-		want   int
-	}{
-		// Not-found: every {name} endpoint answers 404 for a missing sketch.
-		{"info missing", "GET", "/v1/sketches/ghost", "", "", 404},
-		{"delete missing", "DELETE", "/v1/sketches/ghost", "", "", 404},
-		{"ingest missing", "POST", "/v1/sketches/ghost/ingest", "a\n", "text/plain", 404},
-		{"push missing", "POST", "/v1/sketches/ghost/snapshot", "x", "application/octet-stream", 404},
-		{"pull missing", "GET", "/v1/sketches/ghost/snapshot", "", "", 404},
-		{"topk missing", "GET", "/v1/sketches/ghost/topk", "", "", 404},
-		{"estimate missing", "GET", "/v1/sketches/ghost/estimate?item=a", "", "", 404},
-		{"sum missing", "GET", "/v1/sketches/ghost/sum?prefix=a", "", "", 404},
-		{"query missing", "POST", "/v1/sketches/ghost/query", "{}", "application/json", 404},
-		{"range topk missing", "GET", "/v1/sketches/ghost/range/topk?from=0&to=1", "", "", 404},
-		{"range sum missing", "GET", "/v1/sketches/ghost/range/sum?from=0&to=1&prefix=a", "", "", 404},
-		{"range total missing", "GET", "/v1/sketches/ghost/range/total?from=0&to=1", "", "", 404},
-
-		// Conflict: only a duplicate name is 409.
-		{"create duplicate", "POST", "/v1/sketches", `{"name":"w","kind":"weighted","bins":8}`, "application/json", 409},
-
-		// Bad request: validation failures are the caller's error, 400.
-		{"create no bins", "POST", "/v1/sketches", `{"name":"z","kind":"unit"}`, "application/json", 400},
-		{"create bad kind", "POST", "/v1/sketches", `{"name":"z","kind":"bogus","bins":8}`, "application/json", 400},
-		{"create bad json", "POST", "/v1/sketches", `{"name":`, "application/json", 400},
-		{"ingest bad body", "POST", "/v1/sketches/w/ingest", `{"rows":[{"item":""}]}`, "application/json", 400},
-		{"push non-weighted", "POST", "/v1/sketches/u/snapshot", "x", "application/octet-stream", 400},
-		{"push bad blob", "POST", "/v1/sketches/w/snapshot", "not a snapshot", "application/octet-stream", 400},
-		{"pull rollup", "GET", "/v1/sketches/ru/snapshot", "", "", 400},
-		{"topk on rollup", "GET", "/v1/sketches/ru/topk", "", "", 400},
-		{"estimate no item", "GET", "/v1/sketches/w/estimate", "", "", 400},
-		{"sum no predicate", "GET", "/v1/sketches/w/sum", "", "", 400},
-		{"range on non-rollup", "GET", "/v1/sketches/w/range/topk?from=0&to=1", "", "", 400},
-		{"range bad from", "GET", "/v1/sketches/ru/range/topk?from=x&to=1", "", "", 400},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			var rd *bytes.Reader
-			if tc.body != "" {
-				rd = bytes.NewReader([]byte(tc.body))
-			} else {
-				rd = bytes.NewReader(nil)
-			}
-			req, err := http.NewRequest(tc.method, ts.URL+tc.path, rd)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.ctype != "" {
-				req.Header.Set("Content-Type", tc.ctype)
-			}
-			resp, err := http.DefaultClient.Do(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != tc.want {
-				t.Errorf("%s %s: status %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
-			}
-		})
-	}
+	apitest.Fixtures(t, ts.URL)
+	apitest.Run(t, ts.URL, apitest.ErrorCases)
 }
 
 // TestStatusFor pins the sentinel→status table directly, including

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"maps"
 	"net/http"
 	"strconv"
 	"strings"
@@ -73,22 +72,9 @@ func (e *entry) info() sketchInfo {
 		out.Size, out.Total = e.coldSize, e.coldTotal
 		return out
 	}
-	switch e.cfg.Kind {
-	case KindSharded:
-		out.Size = e.sharded.Size()
-		out.Total = e.sharded.Total()
-	case KindUnit:
-		out.Size = e.unit.Size()
-		out.Total = e.unit.Total()
-	case KindWeighted:
-		out.Size = e.weighted.Size()
-		out.Total = e.weighted.Total()
-	case KindRollup:
-		ws := e.rollup.Windows()
-		out.Windows = len(ws)
-		if len(ws) > 0 {
-			out.Total = e.rollup.TotalRange(ws[0], ws[len(ws)-1])
-		}
+	out.Size, out.Total = e.sizeTotalLocked()
+	if e.rollup != nil {
+		out.Windows = len(e.rollup.Windows())
 	}
 	return out
 }
@@ -554,183 +540,46 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(blob)
 }
 
-// binDTO is one (item, count) pair in JSON responses.
-type binDTO struct {
-	Item  string  `json:"item"`
-	Count float64 `json:"count"`
-}
-
-func toBinDTOs(bins []uss.Bin) []binDTO {
-	out := make([]binDTO, len(bins))
-	for i, b := range bins {
-		out[i] = binDTO{Item: b.Item, Count: b.Count}
-	}
-	return out
-}
-
-// intParam parses an integer query parameter with a default.
-func intParam(r *http.Request, name string, def int) (int, error) {
-	v := r.URL.Query().Get(name)
-	if v == "" {
-		return def, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s=%q", name, v)
-	}
-	return n, nil
-}
-
-func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
+// parseRead resolves {name} and parses the read, writing the 404 or 400
+// on failure.
+func (s *Server) parseRead(w http.ResponseWriter, r *http.Request, op ReadOp) (*entry, *ReadRequest, bool) {
 	e, ok := s.lookup(w, r)
 	if !ok {
-		return
+		return nil, nil, false
 	}
-	k, err := intParam(r, "k", 10)
+	q, err := ParseRead(e.cfg, op, r, s.cfg.MaxBodyBytes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
-		return
+		return nil, nil, false
 	}
-	var bins []uss.Bin
-	switch e.cfg.Kind {
-	case KindSharded:
-		bins = e.sharded.TopK(k) // lock-free cached read path
-	case KindUnit:
-		e.mu.Lock()
-		bins = e.unit.TopK(k)
-		e.mu.Unlock()
-	case KindWeighted:
-		e.mu.Lock()
-		bins = e.weighted.TopK(k)
-		e.mu.Unlock()
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sketch %q is a rollup; use /range/topk", e.cfg.Name))
-		return
-	}
-	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"items": toBinDTOs(bins)})
+	return e, q, true
 }
 
-func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	item := r.URL.Query().Get("item")
-	if item == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("missing item parameter"))
-		return
-	}
-	var est float64
-	switch e.cfg.Kind {
-	case KindSharded:
-		est = e.sharded.Estimate(item)
-	case KindUnit:
-		e.mu.Lock()
-		est = e.unit.Estimate(item)
-		e.mu.Unlock()
-	case KindWeighted:
-		e.mu.Lock()
-		est = e.weighted.Estimate(item)
-		e.mu.Unlock()
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sketch %q is a rollup; use /range endpoints", e.cfg.Name))
-		return
-	}
-	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"item": item, "estimate": est})
-}
-
-// estimateDTO renders an Estimate with its conservative 95% interval.
-type estimateDTO struct {
-	Value      float64    `json:"value"`
-	StdErr     float64    `json:"std_err"`
-	SampleBins int        `json:"sample_bins"`
-	CI95       [2]float64 `json:"ci95"`
-}
-
-func toEstimateDTO(e uss.Estimate) estimateDTO {
-	lo, hi := e.ConfidenceInterval(0.95)
-	return estimateDTO{Value: e.Value, StdErr: e.StdErr, SampleBins: e.SampleBins, CI95: [2]float64{lo, hi}}
-}
-
-// sumPredicate builds a label predicate from the prefix/suffix/items
-// query parameters (exactly one must be given).
-func sumPredicate(r *http.Request) (func(string) bool, error) {
-	q := r.URL.Query()
-	prefix, suffix, items := q.Get("prefix"), q.Get("suffix"), q.Get("items")
-	given := 0
-	for _, v := range []string{prefix, suffix, items} {
-		if v != "" {
-			given++
+// handleRead serves one flat read: lookup, parse, then the shared answer
+// under the lock rule. Sharded sketches are internally synchronized and
+// answer topk/estimate/sum without e.mu; every query (engines are
+// single-goroutine owners) and every unit/weighted read takes it.
+func (s *Server) handleRead(op ReadOp) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		e, q, ok := s.parseRead(w, r, op)
+		if !ok {
+			return
 		}
-	}
-	if given != 1 {
-		return nil, fmt.Errorf("give exactly one of prefix=, suffix= or items=")
-	}
-	switch {
-	case prefix != "":
-		return func(s string) bool { return strings.HasPrefix(s, prefix) }, nil
-	case suffix != "":
-		return func(s string) bool { return strings.HasSuffix(s, suffix) }, nil
-	default:
-		set := make(map[string]bool)
-		for _, it := range strings.Split(items, ",") {
-			set[it] = true
+		locked := op == ReadQuery || e.cfg.Kind != KindSharded
+		if locked {
+			e.mu.Lock()
 		}
-		return func(s string) bool { return set[s] }, nil
+		body, err := q.answer(e.flat(), e.prepared)
+		if locked {
+			e.mu.Unlock()
+		}
+		if err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+		s.met.queriesServed.Add(1)
+		writeJSON(w, http.StatusOK, body)
 	}
-}
-
-func (s *Server) handleSum(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	pred, err := sumPredicate(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	var est uss.Estimate
-	switch e.cfg.Kind {
-	case KindSharded:
-		est = e.sharded.SubsetSum(pred)
-	case KindUnit:
-		e.mu.Lock()
-		est = e.unit.SubsetSum(pred)
-		e.mu.Unlock()
-	case KindWeighted:
-		e.mu.Lock()
-		est = e.weighted.SubsetSum(pred)
-		e.mu.Unlock()
-	default:
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sketch %q is a rollup; use /range/sum", e.cfg.Name))
-		return
-	}
-	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, toEstimateDTO(est))
-}
-
-// queryRequest is the POST /query body: the §2 template.
-type queryRequest struct {
-	Where []struct {
-		Dim string   `json:"dim"`
-		In  []string `json:"in"`
-	} `json:"where"`
-	GroupBy []string `json:"group_by"`
-}
-
-// groupDTO is one result row of a template query.
-type groupDTO struct {
-	Key        map[string]string `json:"key,omitempty"`
-	KeyString  string            `json:"key_string"`
-	Value      float64           `json:"value"`
-	StdErr     float64           `json:"std_err"`
-	SampleBins int               `json:"sample_bins"`
 }
 
 // queryCacheKey renders spec unambiguously: every dim and value is
@@ -764,14 +613,7 @@ func (e *entry) prepared(spec uss.QuerySpec) *uss.PreparedQuery {
 		return p
 	}
 	if e.qe == nil {
-		switch e.cfg.Kind {
-		case KindUnit:
-			e.qe = e.unit.QueryEngine()
-		case KindWeighted:
-			e.qe = e.weighted.QueryEngine()
-		case KindSharded:
-			e.qe = e.sharded.QueryEngine()
-		}
+		e.qe = e.flat().QueryEngine()
 	}
 	if e.prep == nil || len(e.prep) >= 128 {
 		e.prep = make(map[string]*uss.PreparedQuery)
@@ -781,146 +623,22 @@ func (e *entry) prepared(spec uss.QuerySpec) *uss.PreparedQuery {
 	return p
 }
 
-// handleQuery evaluates the filter/group-by template through the entry's
-// prepared-query cache: repeat query shapes reuse their compiled program
-// and the sketch's columnar label index, so a query against an unchanged
-// sketch re-parses nothing (PR 2 read path).
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.lookup(w, r)
-	if !ok {
-		return
-	}
-	if e.cfg.Kind == KindRollup {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sketch %q is a rollup; use /range endpoints", e.cfg.Name))
-		return
-	}
-	var req queryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode query: %w", err))
-		return
-	}
-	spec := uss.QuerySpec{GroupBy: req.GroupBy}
-	for _, f := range req.Where {
-		spec.Where = append(spec.Where, uss.QueryFilter{Dim: f.Dim, In: f.In})
-	}
-	e.mu.Lock()
-	groups, skipped, err := e.prepared(spec).Run()
-	if err != nil {
-		e.mu.Unlock()
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	// Prepared results are engine-owned and reused by the next run, so
-	// they are detached into DTOs (including cloned Key maps — JSON
-	// rendering happens after the lock drops) before the unlock.
-	out := make([]groupDTO, len(groups))
-	for i, g := range groups {
-		out[i] = groupDTO{
-			Key:        maps.Clone(g.Key),
-			KeyString:  g.KeyString(),
-			Value:      g.Sum.Value,
-			StdErr:     g.Sum.StdErr,
-			SampleBins: g.Sum.SampleBins,
+// handleRange serves one range read off the rollup's incremental merge
+// tree and per-range memos.
+func (s *Server) handleRange(op ReadOp) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		e, q, ok := s.parseRead(w, r, op)
+		if !ok {
+			return
 		}
+		e.mu.Lock()
+		body, covered := q.answerRange(e.rollup)
+		e.mu.Unlock()
+		if !covered {
+			writeError(w, http.StatusNotFound, q.NoWindow())
+			return
+		}
+		s.met.queriesServed.Add(1)
+		writeJSON(w, http.StatusOK, body)
 	}
-	e.mu.Unlock()
-	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"groups": out, "skipped": skipped})
-}
-
-// rangeParams parses from/to for the rollup range endpoints.
-func rangeParams(r *http.Request) (from, to int64, err error) {
-	q := r.URL.Query()
-	from, err = strconv.ParseInt(q.Get("from"), 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad from=%q", q.Get("from"))
-	}
-	to, err = strconv.ParseInt(q.Get("to"), 10, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad to=%q", q.Get("to"))
-	}
-	return from, to, nil
-}
-
-// rollupEntry gates the /range endpoints to rollup entries.
-func (s *Server) rollupEntry(w http.ResponseWriter, r *http.Request) (*entry, bool) {
-	e, ok := s.lookup(w, r)
-	if !ok {
-		return nil, false
-	}
-	if e.cfg.Kind != KindRollup {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("sketch %q is %s; /range endpoints need a rollup", e.cfg.Name, e.cfg.Kind))
-		return nil, false
-	}
-	return e, true
-}
-
-// handleRangeTopK serves top-k over a window range off the rollup's
-// incremental merge tree and per-range memos (PR 3 read path).
-func (s *Server) handleRangeTopK(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.rollupEntry(w, r)
-	if !ok {
-		return
-	}
-	from, to, err := rangeParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	k, err := intParam(r, "k", 10)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	e.mu.Lock()
-	bins := e.rollup.TopKRange(from, to, k)
-	e.mu.Unlock()
-	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"items": toBinDTOs(bins)})
-}
-
-func (s *Server) handleRangeSum(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.rollupEntry(w, r)
-	if !ok {
-		return
-	}
-	from, to, err := rangeParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	pred, err := sumPredicate(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	e.mu.Lock()
-	est, covered := e.rollup.SubsetSumRange(from, to, pred)
-	e.mu.Unlock()
-	if !covered {
-		writeError(w, http.StatusNotFound,
-			fmt.Errorf("no retained window intersects [%d, %d]", from, to))
-		return
-	}
-	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, toEstimateDTO(est))
-}
-
-func (s *Server) handleRangeTotal(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.rollupEntry(w, r)
-	if !ok {
-		return
-	}
-	from, to, err := rangeParams(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	e.mu.Lock()
-	total := e.rollup.TotalRange(from, to)
-	e.mu.Unlock()
-	s.met.queriesServed.Add(1)
-	writeJSON(w, http.StatusOK, map[string]any{"total": total})
 }

@@ -194,6 +194,28 @@ func newEntry(cfg SketchConfig) (*entry, error) {
 	return e, nil
 }
 
+// flatSketch is a non-rollup entry's sketch: the read layer's source
+// plus the stats list/info and demotion report.
+type flatSketch interface {
+	flatSource
+	Size() int
+	Total() float64
+}
+
+// flat resolves the entry's sketch for its kind; nil for a rollup. The
+// caller holds e.mu, except for a sharded sketch's lock-free reads.
+func (e *entry) flat() flatSketch {
+	switch e.cfg.Kind {
+	case KindUnit:
+		return e.unit
+	case KindWeighted:
+		return e.weighted
+	case KindSharded:
+		return e.sharded
+	}
+	return nil
+}
+
 // capacity returns the entry's total bin budget.
 func (e *entry) capacity() int {
 	switch e.cfg.Kind {

@@ -517,14 +517,14 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sketches/{name}/snapshot", s.handlePush)
 	s.mux.HandleFunc("GET /v1/sketches/{name}/snapshot", s.handlePull)
 
-	s.mux.HandleFunc("GET /v1/sketches/{name}/topk", s.handleTopK)
-	s.mux.HandleFunc("GET /v1/sketches/{name}/estimate", s.handleEstimate)
-	s.mux.HandleFunc("GET /v1/sketches/{name}/sum", s.handleSum)
-	s.mux.HandleFunc("POST /v1/sketches/{name}/query", s.handleQuery)
+	s.mux.HandleFunc("GET /v1/sketches/{name}/topk", s.handleRead(ReadTopK))
+	s.mux.HandleFunc("GET /v1/sketches/{name}/estimate", s.handleRead(ReadEstimate))
+	s.mux.HandleFunc("GET /v1/sketches/{name}/sum", s.handleRead(ReadSum))
+	s.mux.HandleFunc("POST /v1/sketches/{name}/query", s.handleRead(ReadQuery))
 
-	s.mux.HandleFunc("GET /v1/sketches/{name}/range/topk", s.handleRangeTopK)
-	s.mux.HandleFunc("GET /v1/sketches/{name}/range/sum", s.handleRangeSum)
-	s.mux.HandleFunc("GET /v1/sketches/{name}/range/total", s.handleRangeTotal)
+	s.mux.HandleFunc("GET /v1/sketches/{name}/range/topk", s.handleRange(RangeTopK))
+	s.mux.HandleFunc("GET /v1/sketches/{name}/range/sum", s.handleRange(RangeSum))
+	s.mux.HandleFunc("GET /v1/sketches/{name}/range/total", s.handleRange(RangeTotal))
 }
 
 // lookup resolves {name} or writes the statusFor-mapped 404. It also

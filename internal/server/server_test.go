@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	uss "repro"
 )
@@ -165,7 +166,9 @@ func TestCreateIngestQueryLifecycle(t *testing.T) {
 	}
 
 	// Subset sum with a prefix predicate.
-	var est estimateDTO
+	var est struct {
+		Value float64 `json:"value"`
+	}
 	doJSON(t, "GET", ts.URL+"/v1/sketches/clicks/sum?prefix=country=jp", nil, &est)
 	if est.Value != 100 {
 		t.Fatalf("prefix sum %v, want 100", est.Value)
@@ -395,7 +398,9 @@ func TestRollupRangeEndpoints(t *testing.T) {
 		t.Fatalf("range total %v, want 120", total.Total)
 	}
 
-	var est estimateDTO
+	var est struct {
+		Value float64 `json:"value"`
+	}
 	doJSON(t, "GET", ts.URL+"/v1/sketches/daily/range/sum?from=10&to=19&prefix=day1-", nil, &est)
 	if est.Value != 40 {
 		t.Fatalf("day1 range sum %v, want 40", est.Value)
@@ -559,4 +564,35 @@ func TestQueryCacheKeyDistinguishesSpecs(t *testing.T) {
 	if got := run(two); got != 2 {
 		t.Errorf("repeat in:[us,de] sum = %v, want 2", got)
 	}
+}
+
+// TestShardedReadsTakeNoEntryLock pins the read layer's lock rule: a
+// sharded sketch answers topk, estimate and sum while its entry lock is
+// held, because those reads run off the internally synchronized
+// sketch; a query still waits for the lock.
+func TestShardedReadsTakeNoEntryLock(t *testing.T) {
+	s, ts := testServer(t)
+	create(t, ts, SketchConfig{Name: "sh", Kind: KindSharded, Bins: 16, Shards: 2})
+	doJSON(t, "POST", ts.URL+"/v1/sketches/sh/ingest?sync=1", map[string]any{"items": []string{"a", "a", "b"}}, nil)
+	e, _ := s.reg.Get("sh")
+	client := &http.Client{Timeout: 5 * time.Second}
+	e.mu.Lock()
+	for _, path := range []string{"topk?k=1", "estimate?item=a", "sum?prefix=a"} {
+		resp, err := client.Get(ts.URL + "/v1/sketches/sh/" + path)
+		if err != nil {
+			e.mu.Unlock()
+			t.Fatalf("%s under a held entry lock: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d", path, resp.StatusCode)
+		}
+	}
+	client.Timeout = 100 * time.Millisecond
+	resp, err := client.Post(ts.URL+"/v1/sketches/sh/query", "application/json", strings.NewReader("{}"))
+	if err == nil {
+		resp.Body.Close()
+		t.Errorf("query answered %d while the entry lock was held", resp.StatusCode)
+	}
+	e.mu.Unlock()
 }
