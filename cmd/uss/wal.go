@@ -124,7 +124,7 @@ func runWALReplay(args []string) error {
 			}
 		}
 		if *outDir != "" {
-			blob, ok, err := replaySnapshot(rb)
+			blob, ok, err := rb.AppendSnapshot(nil)
 			if err != nil {
 				return fmt.Errorf("encode %q: %w", name, err)
 			}
@@ -161,22 +161,4 @@ func replayTopK(rb *store.RebuiltSketch, k int) []uss.Bin {
 		}
 	}
 	return nil
-}
-
-// replaySnapshot encodes a recovered sketch as a standalone wire-v2
-// snapshot (merged, for sharded). Rollups report ok=false: their state
-// is windowed and has no flat snapshot form.
-func replaySnapshot(rb *store.RebuiltSketch) (blob []byte, ok bool, err error) {
-	switch {
-	case rb.Unit != nil:
-		blob, err = rb.Unit.MarshalBinary()
-		return blob, true, err
-	case rb.Weighted != nil:
-		blob, err = rb.Weighted.MarshalBinary()
-		return blob, true, err
-	case rb.Sharded != nil:
-		blob, err = rb.Sharded.Snapshot(0).MarshalBinary()
-		return blob, true, err
-	}
-	return nil, false, nil
 }

@@ -72,6 +72,8 @@ var ErrorCases = []Case{
 	{"create bad kind", "POST", "/v1/sketches", `{"name":"z","kind":"bogus","bins":8}`, "application/json", 400, false},
 	{"create bad json", "POST", "/v1/sketches", `{"name":`, "application/json", 400, false},
 	{"ingest bad body", "POST", "/v1/sketches/w/ingest", `{"rows":[{"item":""}]}`, "application/json", 400, false},
+	{"ingest NaN weight", "POST", "/v1/sketches/w/ingest", "a\tNaN\n", "text/plain", 400, false},
+	{"ingest Inf weight", "POST", "/v1/sketches/w/ingest", "a\tInf\n", "text/plain", 400, false},
 	{"push non-weighted", "POST", "/v1/sketches/u/snapshot", "x", "application/octet-stream", 400, false},
 	{"push bad blob", "POST", "/v1/sketches/w/snapshot", "not a snapshot", "application/octet-stream", 400, false},
 	{"pull rollup", "GET", "/v1/sketches/ru/snapshot", "", "", 400, false},

@@ -7,6 +7,7 @@ package cluster
 // "cancelled" — observable, not leaked.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -49,7 +50,7 @@ func TestClusterTracePropagationAndHedgeLoser(t *testing.T) {
 	tc.ingestWeighted("tr", 200)
 	// Seed every node's anti-entropy copies so hedges have a source.
 	for _, ag := range tc.agents {
-		ag.AntiEntropyRound(t.Context())
+		ag.AntiEntropyRound(context.Background())
 	}
 
 	// Delay every remote owner-state read past HedgeDelay (20ms in this

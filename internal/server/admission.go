@@ -25,7 +25,7 @@ package server
 // Demotion safety: an entry is demoted only when nothing is in flight
 // for it (appendedLSN == appliedLSN) and it has been untouched for
 // ColdAfter. Every access path bumps lastAccess through ensureLive
-// before touching sketch pointers, so ColdAfter merely needs to exceed
+// before touching the sketch, so ColdAfter merely needs to exceed
 // the request timeout for in-flight requests to be safe.
 
 import (
@@ -148,7 +148,7 @@ func (e *entry) takeTokens(n, rate, burst float64) (bool, time.Duration) {
 
 // ensureLive stamps the entry's access time and, when it was demoted,
 // restores its sketch from the cold blob. Every path that touches an
-// entry's sketch pointers goes through here first.
+// entry's sketch goes through here first.
 func (s *Server) ensureLive(e *entry) error {
 	e.lastAccess.Store(time.Now().UnixNano())
 	if !e.cold.Load() {
@@ -160,25 +160,19 @@ func (s *Server) ensureLive(e *entry) error {
 		return nil
 	}
 	blob, err := os.ReadFile(e.coldPath)
+	var sk store.Sketch
+	if err == nil {
+		sk, err = store.NewSketch(specFromConfig(e.cfg))
+	}
+	if err == nil && len(blob) > 0 {
+		err = sk.Restore(blob)
+	}
 	if err != nil {
 		s.met.reviveErrors.Add(1)
 		s.log.Warn("sketch revive failed", "sketch", e.cfg.Name, "err", err)
 		return fmt.Errorf("revive sketch %q: %w", e.cfg.Name, err)
 	}
-	rb, err := store.NewRebuilt(specFromConfig(e.cfg))
-	if err != nil {
-		s.met.reviveErrors.Add(1)
-		s.log.Warn("sketch revive failed", "sketch", e.cfg.Name, "err", err)
-		return fmt.Errorf("revive sketch %q: %w", e.cfg.Name, err)
-	}
-	if len(blob) > 0 {
-		if err := rb.RestoreState(blob); err != nil {
-			s.met.reviveErrors.Add(1)
-			s.log.Warn("sketch revive failed", "sketch", e.cfg.Name, "err", err)
-			return fmt.Errorf("revive sketch %q: %w", e.cfg.Name, err)
-		}
-	}
-	e.unit, e.weighted, e.sharded, e.rollup = rb.Unit, rb.Weighted, rb.Sharded, rb.Rollup
+	e.sk = sk
 	e.cold.Store(false)
 	_ = os.Remove(e.coldPath)
 	s.met.revivals.Add(1)
@@ -191,11 +185,11 @@ func (e *entry) sizeTotalLocked() (int, float64) {
 	if f := e.flat(); f != nil {
 		return f.Size(), f.Total()
 	}
-	ws := e.rollup.Windows()
+	ws := e.sk.Rollup.Windows()
 	if len(ws) == 0 {
 		return 0, 0
 	}
-	return 0, e.rollup.TotalRange(ws[0], ws[len(ws)-1])
+	return 0, e.sk.Rollup.TotalRange(ws[0], ws[len(ws)-1])
 }
 
 // demote encodes the entry's exact state to its cold blob and frees the
@@ -222,8 +216,7 @@ func (s *Server) demote(e *entry) bool {
 		return false
 	}
 	e.coldPath, e.coldSize, e.coldTotal = path, size, total
-	e.unit, e.weighted, e.sharded, e.rollup = nil, nil, nil, nil
-	e.qe, e.prep, e.enc = nil, nil, nil
+	e.sk, e.qe, e.prep, e.enc = store.Sketch{}, nil, nil, nil
 	e.cold.Store(true)
 	s.met.demotions.Add(1)
 	return true

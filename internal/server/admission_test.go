@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	uss "repro"
 	"repro/internal/faultinject"
 	"repro/internal/store"
 )
@@ -293,6 +295,47 @@ func TestDemoteSurvivesRestart(t *testing.T) {
 		if after[i] != before[i] {
 			t.Fatalf("recovered topk[%d] = %+v, want %+v", i, after[i], before[i])
 		}
+	}
+}
+
+// TestRestoredSketchIsNotIdle restores a sketch the way cluster boot
+// repair does and pushes the server over its memory watermark: with a
+// long ColdAfter the just-restored sketch must not be a demotion
+// candidate (an unstamped access time would rank it idle since 1970).
+func TestRestoredSketchIsNotIdle(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(store.Options{Dir: dir, Sync: store.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{IngestWorkers: 1, QueueDepth: 4, MemorySoftBytes: 1, ColdAfter: time.Hour})
+	if err := s.AttachStore(st, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+
+	src := uss.New(16, uss.WithSeed(3))
+	for i := 0; i < 100; i++ {
+		src.Update(fmt.Sprintf("item-%d", i%7))
+	}
+	blob, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := SketchConfig{Name: "restored", Kind: KindUnit, Bins: 16, Seed: 3}
+	if err := s.RestoreSketch(cfg, SketchStats{Rows: 100}, blob); err != nil {
+		t.Fatal(err)
+	}
+	s.maybeDemote()
+	if e, _ := s.reg.Get("restored"); e.cold.Load() {
+		t.Fatal("maybeDemote demoted a just-restored sketch as idle")
+	}
+	if got := s.met.demotions.Load(); got != 0 {
+		t.Fatalf("demotions = %d, want 0", got)
 	}
 }
 

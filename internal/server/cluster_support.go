@@ -96,12 +96,12 @@ func (s *Server) RestoreSketch(cfg SketchConfig, stats SketchStats, blob []byte)
 	if err := cfg.validate(); err != nil {
 		return err
 	}
-	rb, err := store.NewRebuilt(specFromConfig(cfg))
+	sk, err := store.NewSketch(specFromConfig(cfg))
 	if err != nil {
 		return err
 	}
 	if len(blob) > 0 {
-		if err := rb.RestoreState(blob); err != nil {
+		if err := sk.Restore(blob); err != nil {
 			return fmt.Errorf("sketch %q: restore state: %w", cfg.Name, err)
 		}
 	}
@@ -110,9 +110,8 @@ func (s *Server) RestoreSketch(cfg SketchConfig, stats SketchStats, blob []byte)
 			return fmt.Errorf("sketch %q: config mismatch: have %+v, restoring %+v", cfg.Name, e.cfg, cfg)
 		}
 		e.mu.Lock()
-		e.unit, e.weighted, e.sharded, e.rollup = rb.Unit, rb.Weighted, rb.Sharded, rb.Rollup
-		e.qe, e.prep = nil, nil // engines are bound to the replaced sketch
-		e.cold.Store(false)     // the restored state supersedes any cold blob
+		e.sk, e.qe, e.prep = sk, nil, nil // engines are bound to the replaced sketch
+		e.cold.Store(false)               // the restored state supersedes any cold blob
 		e.rows.Store(stats.Rows)
 		e.pushes.Store(stats.Pushes)
 		e.dropped.Store(stats.Dropped)
@@ -124,8 +123,7 @@ func (s *Server) RestoreSketch(cfg SketchConfig, stats SketchStats, blob []byte)
 		e.mu.Unlock()
 		return nil
 	}
-	ne := &entry{cfg: cfg}
-	ne.unit, ne.weighted, ne.sharded, ne.rollup = rb.Unit, rb.Weighted, rb.Sharded, rb.Rollup
+	ne := newEntry(cfg, sk)
 	ne.rows.Store(stats.Rows)
 	ne.pushes.Store(stats.Pushes)
 	ne.dropped.Store(stats.Dropped)

@@ -85,10 +85,17 @@ func (s *Server) AttachStore(st *store.Store, rebuilt *store.RebuildResult, chec
 	}
 	if rebuilt != nil {
 		for _, name := range sortedNames(rebuilt.Sketches) {
-			e, err := entryFromRebuilt(rebuilt.Sketches[name])
-			if err != nil {
+			rb := rebuilt.Sketches[name]
+			cfg := configFromSpec(rb.Spec)
+			if err := cfg.validate(); err != nil {
 				return fmt.Errorf("server: recover sketch %q: %w", name, err)
 			}
+			e := newEntry(cfg, rb.Sketch)
+			e.rows.Store(rb.Rows)
+			e.pushes.Store(rb.Pushes)
+			e.dropped.Store(rb.Dropped)
+			e.appliedLSN.Store(rb.LSN)
+			e.appendedLSN.Store(rb.LSN) // recovery leaves nothing in flight
 			if err := s.reg.adopt(e); err != nil {
 				return fmt.Errorf("server: recover sketch %q: %w", name, err)
 			}
@@ -129,23 +136,6 @@ func sortedNames(m map[string]*store.RebuiltSketch) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// entryFromRebuilt wraps a rebuilt sketch in a registry entry.
-func entryFromRebuilt(rb *store.RebuiltSketch) (*entry, error) {
-	cfg := configFromSpec(rb.Spec)
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	e := &entry{cfg: cfg}
-	e.lastAccess.Store(time.Now().UnixNano())
-	e.unit, e.weighted, e.sharded, e.rollup = rb.Unit, rb.Weighted, rb.Sharded, rb.Rollup
-	e.rows.Store(rb.Rows)
-	e.pushes.Store(rb.Pushes)
-	e.dropped.Store(rb.Dropped)
-	e.appliedLSN.Store(rb.LSN)
-	e.appendedLSN.Store(rb.LSN) // recovery leaves nothing in flight
-	return e, nil
 }
 
 // createSketch validates, logs (when durable) and registers a sketch.
@@ -218,17 +208,7 @@ func (e *entry) encodeState() ([]byte, error) {
 		// cluster state pulls stay correct without reviving it.
 		return os.ReadFile(e.coldPath)
 	}
-	switch e.cfg.Kind {
-	case KindUnit:
-		return e.unit.AppendBinary(nil)
-	case KindWeighted:
-		return e.weighted.AppendBinary(nil)
-	case KindSharded:
-		return e.sharded.AppendShards(nil)
-	case KindRollup:
-		return e.rollup.AppendWindows(nil)
-	}
-	return nil, fmt.Errorf("unknown kind %q", e.cfg.Kind)
+	return e.sk.AppendState(nil)
 }
 
 // Checkpoint persists every live sketch's state and compacts the WAL.
@@ -313,36 +293,18 @@ func (s *Server) checkpointLoop() {
 	}
 }
 
-// appendIngestWAL logs an ingest batch for e, passing only the columns
-// its kind uses, and returns the record's LSN. Caller holds walMu.
-func (s *Server) appendIngestWAL(e *entry, b *ingestBatch) (uint64, error) {
-	var ws []float64
-	var ats []int64
-	switch e.cfg.Kind {
-	case KindWeighted:
-		ws = b.ws
-	case KindRollup:
-		ats = b.ats
-	}
-	return s.dur.st.AppendIngest(e.cfg.Name, b.items, ws, ats)
-}
-
-// applyPush merges decoded pushed bins into a weighted entry — the
-// DecodeBins → MergeBins fast path — and records the applied LSN (0 =
-// not durable).
+// applyPush merges decoded pushed bins into a weighted entry through
+// store.Sketch.MergePushed — the merge recovery replay and follower
+// apply run too — and records the applied LSN (0 = not durable).
 func (s *Server) applyPush(e *entry, pushed []uss.Bin, red uss.Reduction, lsn uint64) applyResult {
 	if err := s.ensureLive(e); err != nil {
 		return applyResult{err: err}
 	}
-	m := e.cfg.Bins
 	e.mu.Lock()
-	merged := uss.MergeBins(m, red, e.weighted.Bins(), pushed)
-	nw, err := uss.NewWeightedFromBins(m, merged, e.cfg.options()...)
-	if err != nil {
+	if err := e.sk.MergePushed(red, pushed); err != nil {
 		e.mu.Unlock()
-		return applyResult{err: fmt.Errorf("load merged bins: %w", err)}
+		return applyResult{err: err}
 	}
-	e.weighted = nw
 	e.qe, e.prep = nil, nil // engines are bound to the replaced sketch
 	// Counter and watermark advance together under the entry lock, so a
 	// concurrent checkpoint persists the push in both or in neither.
@@ -350,7 +312,7 @@ func (s *Server) applyPush(e *entry, pushed []uss.Bin, red uss.Reduction, lsn ui
 	if lsn > 0 {
 		e.appliedLSN.Store(lsn)
 	}
-	size, total := nw.Size(), nw.Total()
+	size, total := e.sk.Weighted.Size(), e.sk.Weighted.Total()
 	e.mu.Unlock()
 	s.met.snapshotsIn.Add(1)
 	return applyResult{size: size, total: total}

@@ -58,7 +58,9 @@ func topk(t *testing.T, ts *httptest.Server, name string, k int) []binDTO {
 // write-ahead path, recovers twice — once from the raw WAL while the
 // first server is still live (the crash view), once after a clean
 // shutdown (the checkpoint view) — and requires the recovered top-k to
-// be bit-identical to the pre-restart answers.
+// be bit-identical to the pre-restart answers. The crash view's state
+// blobs and counters must equal the live server's byte for byte: replay
+// runs the same store.Sketch code live ingest does.
 func TestDurableRecoveryAllKinds(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := durableServer(t, dir)
@@ -68,6 +70,7 @@ func TestDurableRecoveryAllKinds(t *testing.T) {
 		{Name: "w", Kind: KindWeighted, Bins: 128, Seed: 12},
 		{Name: "s", Kind: KindSharded, Bins: 32, Shards: 4, Seed: 13},
 		{Name: "r", Kind: KindRollup, Bins: 32, WindowLength: 10, Retain: 8, Seed: 14},
+		{Name: "rd", Kind: KindRollup, Bins: 32, WindowLength: 10, Retain: 2, Seed: 16},
 		{Name: "doomed", Kind: KindUnit, Bins: 8, Seed: 15},
 	} {
 		create(t, ts, cfg)
@@ -95,6 +98,7 @@ func TestDurableRecoveryAllKinds(t *testing.T) {
 	ingest("w", weightedRows.String())
 	ingest("s", shardedRows.String())
 	ingest("r", rollupRows.String())
+	ingest("rd", rollupRows.String()) // late rows fall past Retain: dropped
 	ingest("doomed", "gone\n")
 
 	// A pushed agent snapshot rides the WAL too.
@@ -145,6 +149,27 @@ func TestDurableRecoveryAllKinds(t *testing.T) {
 	assertTopK(t, "crash weighted", crash.Sketches["w"].Weighted.TopK(10), want["w"])
 	assertTopK(t, "crash sharded", crash.Sketches["s"].Sharded.TopK(10), want["s"])
 	assertTopK(t, "crash rollup", crash.Sketches["r"].Rollup.TopKRange(0, 59, 10), rangeWant.Items)
+	for _, name := range []string{"u", "w", "s", "r", "rd"} {
+		_, live, liveBlob, err := s.SketchState(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb := crash.Sketches[name]
+		replayed := SketchStats{Rows: rb.Rows, Pushes: rb.Pushes, Dropped: rb.Dropped}
+		if replayed != live {
+			t.Fatalf("crash %s counters = %+v, live %+v", name, replayed, live)
+		}
+		blob, err := rb.AppendState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(blob, liveBlob) {
+			t.Fatalf("crash %s state (%d bytes) differs from live state (%d bytes)", name, len(blob), len(liveBlob))
+		}
+	}
+	if d := crash.Sketches["rd"].Dropped; d == 0 {
+		t.Fatal("retain-2 rollup dropped no rows; the dropped counter is untested")
+	}
 
 	// Clean shutdown checkpoints; the second boot starts from it.
 	shutdown(t, s, ts)
@@ -155,8 +180,8 @@ func TestDurableRecoveryAllKinds(t *testing.T) {
 		Sketches []sketchInfo `json:"sketches"`
 	}
 	doJSON(t, "GET", ts2.URL+"/v1/sketches", nil, &listed)
-	if len(listed.Sketches) != 4 {
-		t.Fatalf("recovered %d sketches, want 4", len(listed.Sketches))
+	if len(listed.Sketches) != 5 {
+		t.Fatalf("recovered %d sketches, want 5", len(listed.Sketches))
 	}
 	for _, name := range []string{"u", "w", "s"} {
 		got := topk(t, ts2, name, 10)

@@ -73,8 +73,8 @@ func (e *entry) info() sketchInfo {
 		return out
 	}
 	out.Size, out.Total = e.sizeTotalLocked()
-	if e.rollup != nil {
-		out.Windows = len(e.rollup.Windows())
+	if e.sk.Rollup != nil {
+		out.Windows = len(e.sk.Rollup.Windows())
 	}
 	return out
 }
@@ -266,7 +266,7 @@ func (s *Server) ingestDurable(w http.ResponseWriter, r *http.Request, e *entry,
 		done = make(chan applyResult, 1)
 	}
 	s.dur.walMu.Lock()
-	lsn, err := s.appendIngestWAL(e, b)
+	lsn, err := s.dur.st.AppendIngest(e.cfg.Name, b.items, b.ws, b.ats)
 	if err != nil {
 		s.dur.walMu.Unlock()
 		putBatch(b)
@@ -502,8 +502,9 @@ func (s *Server) handlePush(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handlePull serves the entry's current state as a wire-v2 snapshot. The
-// encode runs into the entry's reused buffer under its lock; the response
+// handlePull serves the entry's current state as a wire-v2 snapshot. A
+// sharded entry encodes its lock-free cached merge; the other kinds
+// encode into the entry's reused buffer under its lock, and the response
 // writes from a detached copy so a slow client never holds the lock.
 func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.lookup(w, r)
@@ -511,21 +512,17 @@ func (s *Server) handlePull(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var blob []byte
+	var flat bool
 	var err error
-	switch e.cfg.Kind {
-	case KindUnit:
+	if e.cfg.Kind == KindSharded {
+		blob, flat, err = e.sk.AppendSnapshot(nil)
+	} else {
 		e.mu.Lock()
-		e.enc, err = e.unit.AppendBinary(e.enc[:0])
+		e.enc, flat, err = e.sk.AppendSnapshot(e.enc[:0])
 		blob = append([]byte(nil), e.enc...)
 		e.mu.Unlock()
-	case KindWeighted:
-		e.mu.Lock()
-		e.enc, err = e.weighted.AppendBinary(e.enc[:0])
-		blob = append([]byte(nil), e.enc...)
-		e.mu.Unlock()
-	case KindSharded:
-		blob, err = e.sharded.Snapshot(0).MarshalBinary()
-	default:
+	}
+	if !flat {
 		writeError(w, http.StatusBadRequest,
 			fmt.Errorf("sketch %q is a rollup; pull a range with /range endpoints", e.cfg.Name))
 		return
@@ -632,7 +629,7 @@ func (s *Server) handleRange(op ReadOp) http.HandlerFunc {
 			return
 		}
 		e.mu.Lock()
-		body, covered := q.answerRange(e.rollup)
+		body, covered := q.answerRange(e.sk.Rollup)
 		e.mu.Unlock()
 		if !covered {
 			writeError(w, http.StatusNotFound, q.NoWindow())

@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 )
@@ -85,7 +86,7 @@ func (b *ingestBatch) readBody(r io.Reader, limit int64) error {
 // batch's columns. Each line is one row:
 //
 //	unit, sharded:  item
-//	weighted:       item [TAB weight]     (weight defaults to 1)
+//	weighted:       item [TAB weight]     (finite, > 0; defaults to 1)
 //	rollup:         item TAB timestamp    (integer, the row's window time)
 //
 // Empty lines are skipped; a trailing CR (CRLF input) is trimmed. For the
@@ -123,7 +124,7 @@ func (b *ingestBatch) parseText(kind Kind) error {
 			if hasTab {
 				var err error
 				w, err = strconv.ParseFloat(string(rest), 64)
-				if err != nil || w <= 0 {
+				if err != nil || math.IsNaN(w) || math.IsInf(w, 0) || w <= 0 {
 					return fmt.Errorf("line %d: bad weight %q", line, rest)
 				}
 			}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	uss "repro"
+	"repro/internal/store"
 )
 
 // ErrExists reports a create for a name the registry already holds —
@@ -99,8 +100,9 @@ func (c *SketchConfig) options() []uss.Option {
 	return nil
 }
 
-// entry is one hosted sketch. Exactly one of the four sketch fields is
-// non-nil, matching cfg.Kind.
+// entry is one hosted sketch: the config and the store.Sketch whose
+// methods are the one per-kind implementation of ingest apply, push
+// merge and state encoding.
 //
 // Locking: mu guards the sketch state of unit, weighted and rollup
 // entries (single-writer types), the pull encode buffer, and the query
@@ -113,11 +115,8 @@ func (c *SketchConfig) options() []uss.Option {
 type entry struct {
 	cfg SketchConfig
 
-	mu       sync.Mutex
-	unit     *uss.Sketch
-	weighted *uss.WeightedSketch
-	sharded  *uss.ShardedSketch
-	rollup   *uss.Rollup
+	mu sync.Mutex
+	sk store.Sketch
 
 	// qe + prep are the PR 2 cached read path: one engine per entry, one
 	// prepared query per distinct spec, revalidated against sketch
@@ -155,9 +154,9 @@ type entry struct {
 	tbLast   int64
 
 	// Memory-watermark demotion state (admission.go). lastAccess is
-	// stamped by ensureLive on every path that touches the sketch
-	// pointers; cold flips under e.mu (the atomic is the lock-free fast
-	// check) and while it is set the sketch pointers are nil and the
+	// stamped by ensureLive on every path that touches the sketch; cold
+	// flips under e.mu (the atomic is the lock-free fast check) and
+	// while it is set sk is empty and the
 	// entry's exact state lives in the blob at coldPath. coldSize and
 	// coldTotal preserve the stats snapshot so list/info and anti-entropy
 	// digests answer without reviving.
@@ -168,30 +167,12 @@ type entry struct {
 	coldTotal  float64
 }
 
-// newEntry constructs the sketch for a validated config.
-func newEntry(cfg SketchConfig) (*entry, error) {
-	e := &entry{cfg: cfg}
+// newEntry wraps a constructed or restored sketch in an entry stamped
+// as just accessed.
+func newEntry(cfg SketchConfig, sk store.Sketch) *entry {
+	e := &entry{cfg: cfg, sk: sk}
 	e.lastAccess.Store(time.Now().UnixNano())
-	switch cfg.Kind {
-	case KindUnit:
-		e.unit = uss.New(cfg.Bins, cfg.options()...)
-	case KindWeighted:
-		e.weighted = uss.NewWeighted(cfg.Bins, cfg.options()...)
-	case KindSharded:
-		e.sharded = uss.NewSharded(cfg.Shards, cfg.Bins, cfg.options()...)
-	case KindRollup:
-		r, err := uss.NewRollup(uss.RollupConfig{
-			Bins:         cfg.Bins,
-			WindowLength: cfg.WindowLength,
-			Retain:       cfg.Retain,
-			Seed:         cfg.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sketch %q: %w", cfg.Name, err)
-		}
-		e.rollup = r
-	}
-	return e, nil
+	return e
 }
 
 // flatSketch is a non-rollup entry's sketch: the read layer's source
@@ -207,11 +188,11 @@ type flatSketch interface {
 func (e *entry) flat() flatSketch {
 	switch e.cfg.Kind {
 	case KindUnit:
-		return e.unit
+		return e.sk.Unit
 	case KindWeighted:
-		return e.weighted
+		return e.sk.Weighted
 	case KindSharded:
-		return e.sharded
+		return e.sk.Sharded
 	}
 	return nil
 }
@@ -246,10 +227,11 @@ func (r *Registry) Create(cfg SketchConfig) (*entry, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	e, err := newEntry(cfg)
+	sk, err := store.NewSketch(specFromConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
+	e := newEntry(cfg, sk)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if _, taken := r.entries[cfg.Name]; taken {

@@ -153,10 +153,11 @@ func (s *Server) Promote() error {
 // WAL stream, pinned to the LSN the primary assigned. The record is
 // appended to the local log first (byte-identical to the primary's) and
 // then applied through the same code paths the primary's own workers
-// use — applyBatch for ingest, applyPush for snapshots — so a promoted
-// follower's state is bit-identical to a replay of the same records. A
-// duplicate LSN is skipped silently (dup-frame faults, stream resumes);
-// a gap is an error and the caller must re-request from its log end.
+// use — applyBatch for ingest, applyPush for snapshots, both running
+// store.Sketch — so a promoted follower's state is bit-identical to a
+// replay of the same records. A duplicate LSN is skipped silently
+// (dup-frame faults, stream resumes); a gap is an error and the caller
+// must re-request from its log end.
 func (s *Server) ApplyReplicated(lsn uint64, payload []byte) error {
 	d := s.dur
 	if d == nil {
@@ -209,25 +210,18 @@ func (s *Server) ApplyReplicated(lsn uint64, payload []byte) error {
 
 	switch rec.Type {
 	case store.TypeIngest:
-		b := &ingestBatch{items: rec.Items, ws: rec.Weights, ats: rec.Ats}
-		if e.cfg.Kind == KindRollup && len(b.ats) < len(b.items) {
-			b.ats = append(b.ats, make([]int64, len(b.items)-len(b.ats))...)
-		}
-		s.applyBatch(e, b, lsn)
+		s.applyBatch(e, &ingestBatch{items: rec.Items, ws: rec.Weights, ats: rec.Ats}, lsn)
 		return nil
 	case store.TypeSnapshot:
-		red := uss.Reduction(rec.Reduction)
-		switch red {
-		case uss.Pairwise, uss.Pivotal, uss.MisraGries:
-		default:
+		red, err := store.ParseReduction(rec.Reduction)
+		if err != nil {
 			return nil // undecodable reduction: logged, not applied (recovery parity)
 		}
 		pushed, err := uss.DecodeBins(rec.Blob)
 		if err != nil {
 			return nil // undecodable blob: logged, not applied (recovery parity)
 		}
-		res := s.applyPush(e, pushed, red, lsn)
-		return res.err
+		return s.applyPush(e, pushed, red, lsn).err
 	default:
 		return nil
 	}

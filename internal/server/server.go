@@ -418,23 +418,17 @@ func (s *Server) ingestWorker(i int) {
 	}
 }
 
-// applyBatch routes one decoded batch into its entry's sketch, taking the
-// entry lock for the single-writer kinds and going straight to the
-// internally synchronized batched path for sharded entries — except in
-// durable mode (lsn > 0), where sharded applies also take the entry lock
-// so the applied-LSN watermark and checkpoint encoding see one
-// consistent state. The row/dropped counters advance inside the same
-// locked region as the watermark: a checkpoint reading (appliedLSN,
-// rows) under e.mu must see a batch in both or in neither, or recovery
-// would gate the batch's record out while its rows are missing from the
-// persisted counter. This mirrors the per-kind replay in
-// internal/store's rebuild (RebuiltSketch.applyIngest) — the two must
-// stay in lockstep for recovery to be bit-identical, which
-// TestKillDashNineRecovery pins.
-//
-// Sketch-update semantics are identical with and without the lock; the
-// non-durable sharded path skips it so concurrent batches keep flowing
-// through UpdateBatch's per-shard locking.
+// applyBatch applies one decoded batch through store.Sketch.ApplyIngest
+// — the code recovery replay and follower apply run too — under the
+// lock rule: the entry lock for the single-writer kinds, none for a
+// sharded entry (its batched path is internally synchronized, so
+// concurrent batches keep flowing through per-shard locking) except in
+// durable mode (lsn > 0), where the applied-LSN watermark and checkpoint
+// encoding must see one consistent state. The row/dropped counters
+// advance inside the same locked region as the watermark: a checkpoint
+// reading (appliedLSN, rows) under e.mu must see a batch in both or in
+// neither, or recovery would gate the batch's record out while its rows
+// are missing from the persisted counter.
 func (s *Server) applyBatch(e *entry, b *ingestBatch, lsn uint64) {
 	if s.ensureLive(e) != nil {
 		// The cold blob failed to restore; the batch cannot apply. The
@@ -443,49 +437,16 @@ func (s *Server) applyBatch(e *entry, b *ingestBatch, lsn uint64) {
 		return
 	}
 	rows := int64(len(b.items))
-	finish := func(dropped int64) { // caller holds e.mu (or is lock-free sharded)
-		e.rows.Add(rows)
-		e.dropped.Add(dropped)
-		if lsn > 0 {
-			e.appliedLSN.Store(lsn)
-		}
+	locked := lsn > 0 || e.cfg.Kind != KindSharded
+	if locked {
+		e.mu.Lock()
 	}
-	switch e.cfg.Kind {
-	case KindSharded:
-		if lsn > 0 {
-			e.mu.Lock()
-			e.sharded.UpdateBatch(b.items)
-			finish(0)
-			e.mu.Unlock()
-		} else {
-			e.sharded.UpdateBatch(b.items)
-			finish(0)
-		}
-	case KindUnit:
-		e.mu.Lock()
-		e.unit.UpdateAll(b.items)
-		finish(0)
-		e.mu.Unlock()
-	case KindWeighted:
-		e.mu.Lock()
-		for i, it := range b.items {
-			w := 1.0
-			if i < len(b.ws) {
-				w = b.ws[i]
-			}
-			e.weighted.Update(it, w)
-		}
-		finish(0)
-		e.mu.Unlock()
-	case KindRollup:
-		var dropped int64
-		e.mu.Lock()
-		for i, it := range b.items {
-			if !e.rollup.Update(it, b.ats[i]) {
-				dropped++
-			}
-		}
-		finish(dropped)
+	e.dropped.Add(e.sk.ApplyIngest(b.items, b.ws, b.ats))
+	e.rows.Add(rows)
+	if lsn > 0 {
+		e.appliedLSN.Store(lsn)
+	}
+	if locked {
 		e.mu.Unlock()
 	}
 	s.met.rowsIngested.Add(rows)
@@ -528,7 +489,7 @@ func (s *Server) routes() {
 }
 
 // lookup resolves {name} or writes the statusFor-mapped 404. It also
-// revives a demoted entry before the handler touches sketch pointers.
+// revives a demoted entry before the handler touches its sketch.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*entry, bool) {
 	name := r.PathValue("name")
 	e, ok := s.reg.Get(name)

@@ -6,12 +6,11 @@ import (
 	uss "repro"
 )
 
-// RebuiltSketch is one sketch reconstructed by an Applier: its spec, the
-// LSN its state reflects, served-row counters, and exactly one non-nil
-// sketch field matching Spec.Kind.
+// RebuiltSketch is one sketch reconstructed by an Applier: the sketch
+// plus the Applier's bookkeeping — the LSN its state reflects and the
+// served-row counters.
 type RebuiltSketch struct {
-	// Spec is the sketch's configuration.
-	Spec SketchSpec
+	Sketch
 	// LSN is the last log record applied to this sketch.
 	LSN uint64
 	// Rows is the served-row counter (checkpoint value plus replayed
@@ -21,12 +20,6 @@ type RebuiltSketch struct {
 	Dropped int64
 	// Pushes counts replayed snapshot merges.
 	Pushes int64
-
-	// The reconstructed sketch; one field per kind.
-	Unit     *uss.Sketch
-	Weighted *uss.WeightedSketch
-	Sharded  *uss.ShardedSketch
-	Rollup   *uss.Rollup
 }
 
 // RecoverStats summarizes one recovery pass.
@@ -67,145 +60,12 @@ func (st *RecoverStats) warnf(format string, args ...any) {
 	}
 }
 
-// options renders a spec's seed as sketch construction options.
-func (sp *SketchSpec) options() []uss.Option {
-	if sp.Seed != 0 {
-		return []uss.Option{uss.WithSeed(sp.Seed)}
-	}
-	return nil
-}
-
-// NewRebuilt constructs an empty sketch for a spec — the same
-// constructor dispatch boot recovery uses for create records, exported
-// so a replication follower builds replicated sketches through one code
-// path.
-func NewRebuilt(sp SketchSpec) (*RebuiltSketch, error) {
-	if sp.Name == "" || sp.Bins <= 0 {
-		return nil, fmt.Errorf("store: bad spec %+v", sp)
-	}
-	rb := &RebuiltSketch{Spec: sp}
-	switch sp.Kind {
-	case "unit":
-		rb.Unit = uss.New(sp.Bins, sp.options()...)
-	case "weighted":
-		rb.Weighted = uss.NewWeighted(sp.Bins, sp.options()...)
-	case "sharded":
-		shards := sp.Shards
-		if shards == 0 {
-			shards = 8
-		}
-		rb.Sharded = uss.NewSharded(shards, sp.Bins, sp.options()...)
-	case "rollup":
-		r, err := uss.NewRollup(uss.RollupConfig{
-			Bins: sp.Bins, WindowLength: sp.WindowLength, Retain: sp.Retain, Seed: sp.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("store: sketch %q: %w", sp.Name, err)
-		}
-		rb.Rollup = r
-	default:
-		return nil, fmt.Errorf("store: sketch %q has unknown kind %q", sp.Name, sp.Kind)
-	}
-	return rb, nil
-}
-
-// RestoreState loads a checkpoint-encoded state blob (AppendBinary for
-// unit/weighted, AppendShards for sharded, AppendWindows for rollup)
-// into an empty rebuilt sketch. Exported because cluster anti-entropy
-// restores a rejoining node's partition from a peer's copy through the
-// same per-kind dispatch checkpoint recovery uses.
-func (rb *RebuiltSketch) RestoreState(state []byte) error {
-	switch {
-	case rb.Unit != nil:
-		return rb.Unit.UnmarshalBinary(state)
-	case rb.Weighted != nil:
-		return rb.Weighted.UnmarshalBinary(state)
-	case rb.Sharded != nil:
-		return rb.Sharded.RestoreShards(state)
-	case rb.Rollup != nil:
-		return rb.Rollup.RestoreWindows(state)
-	}
-	return fmt.Errorf("store: restore into unconstructed sketch")
-}
-
-// ApplyIngest replays one ingest batch through the same per-kind update
-// paths the live server uses. This mirrors internal/server's applyBatch
-// (minus its locking and metrics) — the two dispatches must stay in
-// lockstep or recovery stops being bit-identical to live ingest; the
-// cross-process TestKillDashNineRecovery in cmd/ussd pins the pair. It
-// is exported because follower apply runs replicated ingest records
-// through it too (under the server's entry lock).
-func (rb *RebuiltSketch) ApplyIngest(items []string, ws []float64, ats []int64) {
-	switch {
-	case rb.Unit != nil:
-		rb.Unit.UpdateAll(items)
-	case rb.Weighted != nil:
-		for i, it := range items {
-			w := 1.0
-			if i < len(ws) {
-				w = ws[i]
-			}
-			rb.Weighted.Update(it, w)
-		}
-	case rb.Sharded != nil:
-		rb.Sharded.UpdateBatch(items)
-	case rb.Rollup != nil:
-		for i, it := range items {
-			var at int64
-			if i < len(ats) {
-				at = ats[i]
-			}
-			if !rb.Rollup.Update(it, at) {
-				rb.Dropped++
-			}
-		}
-	}
-	rb.Rows += int64(len(items))
-}
-
-// ApplySnapshot replays one pushed snapshot through the DecodeBins →
-// MergeBins fast path, exactly as the live push handler does (the
-// lockstep twin of internal/server's applyPush — keep them identical).
-// The weighted sketch is replaced; callers holding a pointer to the old
-// one must re-read rb.Weighted after a successful apply.
-func (rb *RebuiltSketch) ApplySnapshot(red uss.Reduction, blob []byte) error {
-	if rb.Weighted == nil {
-		return fmt.Errorf("snapshot pushed into non-weighted sketch %q", rb.Spec.Name)
-	}
-	pushed, err := uss.DecodeBins(blob)
-	if err != nil {
-		return err
-	}
-	m := rb.Spec.Bins
-	merged := uss.MergeBins(m, red, rb.Weighted.Bins(), pushed)
-	nw, err := uss.NewWeightedFromBins(m, merged, rb.Spec.options()...)
-	if err != nil {
-		return err
-	}
-	rb.Weighted = nw
-	rb.Pushes++
-	return nil
-}
-
-// parseReduction validates a snapshot record's reduction byte.
-func parseReduction(b byte) (uss.Reduction, error) {
-	r := uss.Reduction(b)
-	switch r {
-	case uss.Pairwise, uss.Pivotal, uss.MisraGries:
-		return r, nil
-	default:
-		return 0, fmt.Errorf("unknown reduction byte %d", b)
-	}
-}
-
 // Applier is the transport-neutral record applier: a set of rebuilt
 // sketches plus per-sketch LSN gates, fed decoded WAL records in LSN
-// order from any source — the on-disk log tail (boot recovery, `uss wal
-// replay`) or a primary's replication stream (follower apply). Every
-// consumer shares the same dispatch, so "replayed" and "replicated"
-// state are bit-identical by construction. Not safe for concurrent use;
-// callers that serve reads from the same sketches (the follower) apply
-// under their own per-sketch locks.
+// order (boot recovery, `uss wal replay`). It applies ingest and pushes
+// through the same store.Sketch methods the live server and follower
+// apply run, so replayed, replicated and live state are bit-identical
+// by construction. Not safe for concurrent use.
 type Applier struct {
 	// Sketches maps sketch name to its reconstructed state.
 	Sketches map[string]*RebuiltSketch
@@ -244,15 +104,16 @@ func (a *Applier) LoadCheckpoint(dir string) error {
 		if err != nil {
 			return err
 		}
-		rb, err := NewRebuilt(ms.Spec)
+		sk, err := NewSketch(ms.Spec)
 		if err != nil {
 			return err
 		}
-		if err := rb.RestoreState(blob); err != nil {
+		if err := sk.Restore(blob); err != nil {
 			return fmt.Errorf("store: restore %q from checkpoint: %w", ms.Spec.Name, err)
 		}
-		rb.LSN, rb.Rows, rb.Pushes, rb.Dropped = ms.LSN, ms.Rows, ms.Pushes, ms.Dropped
-		a.Sketches[ms.Spec.Name] = rb
+		a.Sketches[ms.Spec.Name] = &RebuiltSketch{
+			Sketch: sk, LSN: ms.LSN, Rows: ms.Rows, Pushes: ms.Pushes, Dropped: ms.Dropped,
+		}
 		a.gate[ms.Spec.Name] = ms.LSN
 	}
 	return nil
@@ -277,14 +138,13 @@ func (a *Applier) Apply(rec *Record) {
 			a.Stats.Skipped++
 			return
 		}
-		rb, err := NewRebuilt(rec.Spec)
+		sk, err := NewSketch(rec.Spec)
 		if err != nil {
 			a.Stats.warnf("lsn %d: create %q: %v", rec.LSN, rec.Name, err)
 			a.Stats.Skipped++
 			return
 		}
-		rb.LSN = rec.LSN
-		a.Sketches[rec.Name] = rb
+		a.Sketches[rec.Name] = &RebuiltSketch{Sketch: sk, LSN: rec.LSN}
 	case TypeDelete:
 		if _, ok := a.Sketches[rec.Name]; !ok {
 			a.Stats.warnf("lsn %d: delete %q: no such sketch", rec.LSN, rec.Name)
@@ -299,7 +159,8 @@ func (a *Applier) Apply(rec *Record) {
 			a.Stats.Skipped++
 			return
 		}
-		rb.ApplyIngest(rec.Items, rec.Weights, rec.Ats)
+		rb.Dropped += rb.ApplyIngest(rec.Items, rec.Weights, rec.Ats)
+		rb.Rows += int64(len(rec.Items))
 		rb.LSN = rec.LSN
 	case TypeSnapshot:
 		rb, ok := a.Sketches[rec.Name]
@@ -308,17 +169,20 @@ func (a *Applier) Apply(rec *Record) {
 			a.Stats.Skipped++
 			return
 		}
-		red, err := parseReduction(rec.Reduction)
+		red, err := ParseReduction(rec.Reduction)
+		var pushed []uss.Bin
+		if err == nil {
+			pushed, err = uss.DecodeBins(rec.Blob)
+		}
+		if err == nil {
+			err = rb.MergePushed(red, pushed)
+		}
 		if err != nil {
 			a.Stats.warnf("lsn %d: snapshot push into %q: %v", rec.LSN, rec.Name, err)
 			a.Stats.Skipped++
 			return
 		}
-		if err := rb.ApplySnapshot(red, rec.Blob); err != nil {
-			a.Stats.warnf("lsn %d: snapshot push into %q: %v", rec.LSN, rec.Name, err)
-			a.Stats.Skipped++
-			return
-		}
+		rb.Pushes++
 		rb.LSN = rec.LSN
 	default:
 		a.Stats.warnf("lsn %d: unknown record type %d", rec.LSN, rec.Type)
